@@ -12,7 +12,7 @@ import random
 
 from harness import print_series, push_network, stardust_network
 
-from repro.core.network import TwoTierSpec
+from repro.fabrics import TwoTierSpec
 from repro.net.addressing import PortAddress
 from repro.net.flow import Flow
 from repro.sim.units import MICROSECOND, MILLISECOND

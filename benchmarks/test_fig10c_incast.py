@@ -8,7 +8,7 @@ far better, and no packets drop inside the Stardust fabric.
 
 from harness import print_series, push_network, stardust_network
 
-from repro.core.network import OneTierSpec
+from repro.fabrics import OneTierSpec
 from repro.net.addressing import PortAddress
 from repro.sim.units import KB, MB, MILLISECOND, gbps
 from repro.transport.dctcp import DctcpSender

@@ -102,8 +102,6 @@ def cmd_show(args) -> int:
 
 def cmd_run(args) -> int:
     specs = _build_matrix(args)
-    if args.kernel:
-        specs = [s.with_updates(kernel=args.kernel) for s in specs]
     if args.telemetry:
         from repro.telemetry.probes import TelemetryConfig
 
@@ -292,11 +290,6 @@ def main(argv=None) -> int:
         "--telemetry", action="store_true",
         help="instrument every cell (time-series probes + flow spans; "
              "see python -m repro.telemetry export)",
-    )
-    run.add_argument(
-        "--kernel", default=None, metavar="NAME",
-        help="engine kernel to run every cell on (hash-neutral: results "
-             "and cache cells are byte-identical across kernels)",
     )
     run.add_argument(
         "--sample-interval-ns", type=int, default=10_000,

@@ -85,18 +85,8 @@ def get_scenario(name: str) -> ScenarioEntry:
 
 
 def build_scenario(name: str, **params) -> ScenarioSpec:
-    """Build a concrete spec from the named scenario family.
-
-    ``kernel`` is hoisted out of ``params`` here rather than threaded
-    through every factory: it is a hash-neutral execution detail (which
-    engine kernel runs the spec), not scenario identity, and factories
-    would otherwise misroute it into device ``config_overrides``.
-    """
-    kernel = params.pop("kernel", None)
-    spec = get_scenario(name).factory(**params)
-    if kernel is not None:
-        spec = spec.with_updates(kernel=kernel)
-    return spec
+    """Build a concrete spec from the named scenario family."""
+    return get_scenario(name).factory(**params)
 
 
 def scenario_names() -> List[str]:

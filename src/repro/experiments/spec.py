@@ -41,6 +41,18 @@ KIND_PRESETS: Dict[str, Tuple[str, str]] = {
 
 TRANSPORTS = ("tcp", "dctcp", "mptcp", "dcqcn", "none")
 
+#: Optional :class:`ScenarioSpec` fields that serialize to *nothing*
+#: when ``None``: :meth:`~ScenarioSpec.to_dict` omits the key, so every
+#: spec that predates the field keeps its content hash (and with it its
+#: result-store cells and golden traces).
+OMITTED_WHEN_NONE = ("faults", "telemetry")
+
+#: :class:`ScenarioSpec` fields that observe a run without defining it:
+#: serialized by :meth:`~ScenarioSpec.to_dict` but left out of
+#: :meth:`~ScenarioSpec.content_hash`, so an instrumented spec shares
+#: its cache cell and golden digest with its plain twin.
+HASH_EXCLUDED = ("telemetry",)
+
 
 def __getattr__(name):
     # Back-compat constant, computed per access so fabrics registered
@@ -144,27 +156,14 @@ class ScenarioSpec:
     mss: int = 9000 - 40
     config_overrides: Dict[str, Any] = field(default_factory=dict)
     #: Optional fault schedule (a ``FaultPlan.to_dict()``; see
-    #: :mod:`repro.faults`).  ``None`` — the default — serializes to
-    #: *nothing*: :meth:`to_dict` omits the key, so every pre-fault
-    #: spec hash (and with it the result store and the no-fault golden
-    #: traces) is untouched by this field existing.
+    #: :mod:`repro.faults`).  In :data:`OMITTED_WHEN_NONE`.
     faults: Optional[Dict[str, Any]] = None
     #: Optional telemetry configuration (a
     #: :meth:`~repro.telemetry.probes.TelemetryConfig.to_dict`; see
-    #: :mod:`repro.telemetry`).  Hash-neutral: ``None`` serializes to
-    #: nothing (the ``faults`` trick), and :meth:`content_hash` strips
-    #: the field even when set — instrumenting a run never changes its
-    #: identity, so golden digests and cache cells are shared between
-    #: an instrumented spec and its plain twin.
+    #: :mod:`repro.telemetry`).  In :data:`OMITTED_WHEN_NONE` and
+    #: :data:`HASH_EXCLUDED`: instrumenting a run never changes its
+    #: identity.
     telemetry: Optional[Dict[str, Any]] = None
-    #: Optional engine kernel name (see :mod:`repro.sim.kernel`).
-    #: ``None`` — the default — runs the registry's default kernel.
-    #: Hash-neutral exactly like ``telemetry``: every registered kernel
-    #: is bit-identical on every golden trace (the kernel-parametrized
-    #: golden test enforces it), so which core executes a run never
-    #: changes the run's identity — cache cells and golden digests are
-    #: shared across kernels.
-    kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
         if isinstance(self.topology, dict):
@@ -193,10 +192,6 @@ class ScenarioSpec:
                 self.telemetry = self.telemetry.to_dict()
             else:
                 TelemetryConfig.from_dict(self.telemetry)  # validate
-        if self.kernel is not None:
-            from repro.sim.kernel import get_kernel
-
-            get_kernel(self.kernel)  # UnknownKernelError lists known names
 
     # ------------------------------------------------------------------
     # Serialization
@@ -204,18 +199,14 @@ class ScenarioSpec:
     def to_dict(self) -> Dict[str, Any]:
         """A plain-dict form that round-trips through JSON.
 
-        An unset fault plan is omitted entirely, so unfaulted specs
-        keep the exact content hashes they had before fault injection
-        existed (the result-store cache and golden traces depend on
-        that stability).
+        Unset :data:`OMITTED_WHEN_NONE` fields are left out entirely,
+        so specs keep the exact content hashes they had before those
+        fields existed.
         """
         data = asdict(self)
-        if data.get("faults") is None:
-            del data["faults"]
-        if data.get("telemetry") is None:
-            del data["telemetry"]
-        if data.get("kernel") is None:
-            del data["kernel"]
+        for name in OMITTED_WHEN_NONE:
+            if data[name] is None:
+                del data[name]
         return data
 
     @classmethod
@@ -235,17 +226,14 @@ class ScenarioSpec:
     def content_hash(self) -> str:
         """Hex digest identifying this exact spec (store cache key).
 
-        The ``telemetry`` field is excluded: instrumentation observes a
-        run without defining it (probes ride the event stream and never
-        schedule), so an instrumented spec is the *same experiment* —
-        same cache cell, same golden digest — as its plain twin.  The
-        ``kernel`` field is excluded for the same reason: kernels are
-        bit-identical by contract, so which core executes a run does
-        not define the experiment either.
+        :data:`HASH_EXCLUDED` fields are left out: telemetry probes
+        ride the event stream and never schedule, so an instrumented
+        spec is the *same experiment* — same cache cell, same golden
+        digest — as its plain twin.
         """
         data = self.to_dict()
-        data.pop("telemetry", None)
-        data.pop("kernel", None)
+        for name in HASH_EXCLUDED:
+            data.pop(name, None)
         payload = json.dumps(data, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:24]
 

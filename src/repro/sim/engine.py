@@ -171,19 +171,6 @@ class Simulator:
     #: cheaper to drain than to rebuild.
     COMPACT_MIN_CANCELLED = 64
 
-    #: Kernel capability flag, read once per link at wiring time.
-    #: Kernels that step cell trains inline (``repro.sim.kernel.batch``)
-    #: override this to True; links then arm tagged
-    #: ``[time, seq, kind, link]`` entries the kernel's run loop
-    #: dispatches without a callback frame.  This reference engine
-    #: leaves it False and never sees a tagged entry.
-    KERNEL_LINK_INLINE = False
-
-    #: Registry name of this engine core (the kernel registry stamps it
-    #: on registration; ``repro.sim.kernel.wheel`` registers this class
-    #: itself, so a plain ``Simulator()`` *is* the ``wheel`` kernel).
-    kernel_name = "wheel"
-
     def __init__(self) -> None:
         self._buckets: List[list] = [[] for _ in range(_WHEEL_SLOTS)]
         #: Absolute slot index (time >> WHEEL_SHIFT) being drained.

@@ -65,7 +65,7 @@ class Link:
         "_queue", "_queued_bytes", "_busy",
         "_ser_payload", "_ser_size", "_ser_done", "_ser_extra",
         "_in_flight", "_tx_ns", "_tx_last_size", "_tx_last_ns",
-        "_tx_entry", "_dst_receive", "_inline", "_rx_entry", "_tx_plan",
+        "_tx_entry", "_dst_receive",
         "tx_frames", "tx_bytes", "peak_queue_bytes",
         "peak_queue_frames", "on_transmit", "on_idle",
         "dropped_frames", "dropped_bytes", "failed_at_ns",
@@ -116,23 +116,10 @@ class Link:
         self._tx_ns: Dict[int, int] = {}
         self._tx_last_size = -1
         self._tx_last_ns = 0
-        #: Kernel capability, sampled at wiring time: inline kernels
-        #: (``repro.sim.kernel.batch``) step this link's events from the
-        #: run loop via tagged ``[time, seq, kind, link]`` entries; the
-        #: reference wheel kernel arms plain callback entries.
-        self._inline: bool = sim.KERNEL_LINK_INLINE
         #: The train entry: one reusable engine entry stepping through
         #: back-to-back serialization completions.  ``entry[2] is None``
         #: means spent (fired or never armed) and safe to re-arm.
-        self._tx_entry: list = [0, 0, None, self] if self._inline else [0, 0, None]
-        #: Inline kernels only: a reusable delivery entry (the common
-        #: case has at most one delivery in flight per link), plus the
-        #: train's precomputed completion-time column (an ``array('q')``
-        #: filled by the kernel; any train disturbance clears it).
-        self._rx_entry: Optional[list] = (
-            [0, 0, None, self] if self._inline else None
-        )
-        self._tx_plan: Any = ()
+        self._tx_entry: list = [0, 0, None]
         #: Bound delivery target — ``dst`` never changes after wiring.
         self._dst_receive: Callable[[Any, "Link"], None] = dst.receive
 
@@ -216,12 +203,6 @@ class Link:
 
     def _start_next(self) -> None:
         """Start (or continue) a serialization train with the next frame."""
-        if self._tx_plan:
-            # Any arrival here invalidates a precomputed train column:
-            # this is the scalar path (fresh train, hook installed, or
-            # a stale-serialization corner), and consuming the queue
-            # outside the column's accounting would desynchronize it.
-            self._tx_plan = ()
         payload, size = self._queue.popleft()
         self._queued_bytes -= size
         self._busy = True
@@ -251,16 +232,11 @@ class Link:
         self._ser_size = size
         self._ser_done = done
         entry = self._tx_entry
-        if self._inline:
-            if entry[2] is not None:
-                # The stale serialization owns the train entry; orphan
-                # it (its event still fires) and lay a fresh one.
-                self._tx_entry = entry = [0, 0, None, self]
-            sim.rearm_tagged(done, entry)
-        else:
-            if entry[2] is not None:
-                self._tx_entry = entry = [0, 0, None]
-            sim.rearm_at(done, entry, self._tx_done)
+        if entry[2] is not None:
+            # The stale serialization owns the train entry; orphan it
+            # (its event still fires) and lay a fresh one.
+            self._tx_entry = entry = [0, 0, None]
+        sim.rearm_at(done, entry, self._tx_done)
 
     def _tx_done(self) -> None:
         sim = self.sim
@@ -360,8 +336,6 @@ class Link:
         self.up = False
         self.sim.topology_epoch += 1
         self.failed_at_ns = self.sim.now
-        if self._tx_plan:
-            self._tx_plan = ()  # the planned train just lost its cells
         lost = len(self._queue)
         self.dropped_frames += lost
         self.dropped_bytes += self._queued_bytes
@@ -388,8 +362,6 @@ class Link:
             self.rate_bps = rate_bps
             self._tx_ns = {}
             self._tx_last_size = -1
-            if self._tx_plan:
-                self._tx_plan = ()  # planned times assumed the old rate
 
 
 def duplex(

@@ -1,7 +1,7 @@
 """Explicit fat-tree graphs (networkx) for structural analysis.
 
-The event-level builders in :mod:`repro.core.network` and
-:mod:`repro.baselines.push_fabric` wire simulator entities; this module
+The event-level builders in :mod:`repro.fabrics.stardust` and
+:mod:`repro.fabrics.push` wire simulator entities; this module
 builds the same shapes as annotated graphs so tests and analyses can
 check structural invariants (path counts, bisection, diameter) without
 running a simulation.

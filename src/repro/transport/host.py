@@ -184,8 +184,8 @@ class Host(Entity):
 def make_hosts(network, addresses, tracker: Optional[FlowTracker] = None):
     """Create and attach one :class:`Host` per address on ``network``.
 
-    Works with both :class:`~repro.core.network.StardustNetwork` and
-    :class:`~repro.baselines.push_fabric.PushFabricNetwork` (anything
+    Works with both :class:`~repro.fabrics.stardust.StardustNetwork` and
+    :class:`~repro.fabrics.push.PushFabricNetwork` (anything
     with ``sim`` and ``attach_host``).  All hosts share one tracker.
     """
     tracker = tracker or FlowTracker()

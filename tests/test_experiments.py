@@ -21,7 +21,7 @@ from repro.experiments import (
 )
 from repro.experiments.registry import scenario
 from repro.experiments.summarize import Summary, aggregate
-from repro.core.network import OneTierSpec, TwoTierSpec
+from repro.fabrics import OneTierSpec, TwoTierSpec
 from repro.sim.units import MICROSECOND
 
 #: A deliberately tiny topology so runner tests stay fast.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.network import OneTierSpec
 from repro.experiments.registry import build_scenario
 from repro.experiments.runner import run_spec, run_spec_with_network
 from repro.experiments.spec import ScenarioSpec, TopologySpec, kind_for_fabric
@@ -26,6 +25,7 @@ from repro.faults import (
     link_down,
     link_up,
 )
+from repro.fabrics import OneTierSpec
 from repro.fabrics.push import PushFabricNetwork
 from repro.fabrics.registry import UnknownFabricError
 from repro.fabrics.stardust import StardustNetwork

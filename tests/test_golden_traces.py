@@ -24,7 +24,6 @@ import pytest
 
 from repro.perf.digest import diff_digests
 from repro.perf.golden import compute_digest, golden_name, golden_specs
-from repro.sim.kernel import kernel_names
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -34,20 +33,14 @@ _REGEN_HINT = (
 )
 
 
-@pytest.mark.parametrize("kernel", kernel_names())
 @pytest.mark.parametrize("spec", golden_specs(), ids=golden_name)
-def test_golden_trace_is_reproduced(spec, kernel):
-    """Every registered kernel must hit the recorded digest, byte for
-    byte — the recordings are kernel-agnostic because ``kernel`` is a
-    hash-neutral execution detail, not part of scenario identity."""
+def test_golden_trace_is_reproduced(spec):
     path = GOLDEN_DIR / f"{golden_name(spec)}.json"
     assert path.exists(), f"no recorded golden at {path}; {_REGEN_HINT}"
     recorded = json.loads(path.read_text())["digest"]
-    diff = diff_digests(
-        recorded, compute_digest(spec.with_updates(kernel=kernel))
-    )
+    diff = diff_digests(recorded, compute_digest(spec))
     assert not diff, (
-        f"golden trace drifted under kernel={kernel}: "
+        f"golden trace drifted: "
         f"{json.dumps(diff, indent=1, default=str)}\n"
         f"{_REGEN_HINT}"
     )

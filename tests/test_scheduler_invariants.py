@@ -18,7 +18,6 @@ import pytest
 
 from repro.sim.engine import SimError, Simulator
 from repro.sim.entity import Entity
-from repro.sim.kernel import get_kernel, kernel_names
 from repro.sim.link import Link
 from repro.sim.units import gbps
 
@@ -26,27 +25,16 @@ SLOT = Simulator.WHEEL_SLOT_NS
 HORIZON = Simulator.WHEEL_SLOT_NS * Simulator.WHEEL_SLOTS
 
 
-@pytest.fixture(params=kernel_names())
-def sim_cls(request):
-    """Each registered engine kernel's simulator class.
-
-    Every invariant in this module is part of the kernel contract
-    (see :mod:`repro.sim.kernel.registry`): the whole suite must pass
-    identically — same timestamps, same counters — for every kernel.
-    """
-    return get_kernel(request.param).cls
-
-
 # ----------------------------------------------------------------------
 # Total order across the wheel's seams
 # ----------------------------------------------------------------------
 
 
-def test_same_timestamp_fifo_across_bucket_boundaries(sim_cls):
+def test_same_timestamp_fifo_across_bucket_boundaries():
     """Events at one instant fire in schedule order, wherever the
     instant falls relative to bucket edges."""
     for t in (SLOT - 1, SLOT, SLOT + 1, 5 * SLOT, 5 * SLOT + 7):
-        sim = sim_cls()
+        sim = Simulator()
         order = []
         for tag in range(6):
             # Alternate fast-path and handle-path scheduling: both
@@ -59,8 +47,8 @@ def test_same_timestamp_fifo_across_bucket_boundaries(sim_cls):
         assert order == list(range(6)), f"FIFO broken at t={t}"
 
 
-def test_boundary_straddling_times_fire_in_time_order(sim_cls):
-    sim = sim_cls()
+def test_boundary_straddling_times_fire_in_time_order():
+    sim = Simulator()
     fired = []
     times = [SLOT + 1, SLOT - 1, SLOT, 2 * SLOT, 0, 3 * SLOT - 1]
     for t in times:
@@ -69,10 +57,10 @@ def test_boundary_straddling_times_fire_in_time_order(sim_cls):
     assert fired == sorted(times)
 
 
-def test_wheel_wrap_preserves_order(sim_cls):
+def test_wheel_wrap_preserves_order():
     """Times one full rotation apart share a ring slot; the later one
     must wait for the next rotation, not jump the queue."""
-    sim = sim_cls()
+    sim = Simulator()
     fired = []
     sim.schedule_at(HORIZON + 5, lambda: fired.append("far"))  # spills
     sim.schedule_at(5, lambda: fired.append("near"))
@@ -81,12 +69,12 @@ def test_wheel_wrap_preserves_order(sim_cls):
     assert fired == ["near", "edge", "far"]
 
 
-def test_seeded_random_schedule_storm_fires_in_total_order(sim_cls):
+def test_seeded_random_schedule_storm_fires_in_total_order():
     """Randomized mix of both scheduling surfaces, near and far times,
     with random cancellations: survivors fire in exact (t, seq) order
     and the accounting conserves events."""
     rng = random.Random(11)
-    sim = sim_cls()
+    sim = Simulator()
     fired = []
     expected = []
     scheduled = cancelled = 0
@@ -115,10 +103,10 @@ def test_seeded_random_schedule_storm_fires_in_total_order(sim_cls):
     assert sim.pending_events == 0
 
 
-def test_events_scheduled_from_callbacks_interleave_exactly(sim_cls):
+def test_events_scheduled_from_callbacks_interleave_exactly():
     """Sub-slot re-scheduling (the cell-train pattern) interleaves with
     already-queued same-bucket events in time order."""
-    sim = sim_cls()
+    sim = Simulator()
     fired = []
 
     def chain(n):
@@ -140,9 +128,9 @@ def test_events_scheduled_from_callbacks_interleave_exactly(sim_cls):
 # ----------------------------------------------------------------------
 
 
-def test_cancel_then_compact_under_churn_keeps_order_and_counts(sim_cls):
+def test_cancel_then_compact_under_churn_keeps_order_and_counts():
     rng = random.Random(7)
-    sim = sim_cls()
+    sim = Simulator()
     fired = []
     expected = []
     live = []
@@ -167,16 +155,16 @@ def test_cancel_then_compact_under_churn_keeps_order_and_counts(sim_cls):
     assert sim.pending <= Simulator.COMPACT_MIN_CANCELLED * 2
 
 
-def test_compact_with_offsetting_pushes_mid_drain_keeps_order(sim_cls):
-    """Regression (batch kernel drain bound): a callback that cancels
-    past ``COMPACT_MIN_CANCELLED`` (so compaction removes N corpses in
+def test_compact_with_offsetting_pushes_mid_drain_keeps_order():
+    """Regression (drain bound): a callback that cancels past
+    ``COMPACT_MIN_CANCELLED`` (so compaction removes N corpses in
     place) and pushes an offsetting number of new spill entries leaves
     ``len(spill)`` unchanged while installing an *earlier* spill head.
-    A drain bound watching only the heap's length then fires the rest
-    of the bucket (67/68/70) before the earlier spill event (66),
-    sending the clock non-monotonic and diverging from the wheel
-    kernel's (time, seq) order."""
-    sim = sim_cls()
+    A drain that batches a bucket and bounds itself by watching only
+    the heap's length would then fire the rest of the bucket
+    (67/68/70) before the earlier spill event (66), sending the clock
+    non-monotonic and breaking the (time, seq) order."""
+    sim = Simulator()
     fired = []
     n = Simulator.COMPACT_MIN_CANCELLED + 1
     far = 1_000_000
@@ -204,11 +192,11 @@ def test_compact_with_offsetting_pushes_mid_drain_keeps_order(sim_cls):
     assert fired == sorted(fired), "sim clock went non-monotonic"
 
 
-def test_pending_events_excludes_corpses_exactly(sim_cls):
+def test_pending_events_excludes_corpses_exactly():
     """Regression (engine accounting): the raw structure length counts
     lazily-deleted corpses until compaction happens to run;
     ``pending_events`` / ``len(sim)`` must be exact regardless."""
-    sim = sim_cls()
+    sim = Simulator()
     keep = Simulator.COMPACT_MIN_CANCELLED // 2
     handles = [sim.at(100 + i, lambda: None) for i in range(2 * keep)]
     for handle in handles[keep:]:
@@ -236,8 +224,8 @@ def test_pending_events_excludes_corpses_exactly(sim_cls):
     "until",
     [SLOT - 1, SLOT, SLOT + 1, HORIZON - 1, HORIZON, HORIZON + SLOT],
 )
-def test_run_until_at_bucket_edges_is_inclusive_and_resumable(until, sim_cls):
-    sim = sim_cls()
+def test_run_until_at_bucket_edges_is_inclusive_and_resumable(until):
+    sim = Simulator()
     fired = []
     for t in (until - 1, until, until + 1, until + SLOT):
         sim.schedule_at(t, lambda t=t: fired.append(t))
@@ -248,9 +236,9 @@ def test_run_until_at_bucket_edges_is_inclusive_and_resumable(until, sim_cls):
     assert fired == [until - 1, until, until + 1, until + SLOT]
 
 
-def test_run_until_mid_bucket_leaves_same_bucket_remainder(sim_cls):
+def test_run_until_mid_bucket_leaves_same_bucket_remainder():
     """Two events share one bucket; the horizon splits them."""
-    sim = sim_cls()
+    sim = Simulator()
     fired = []
     base = 10 * SLOT
     sim.schedule_at(base + 10, lambda: fired.append("early"))
@@ -263,8 +251,8 @@ def test_run_until_mid_bucket_leaves_same_bucket_remainder(sim_cls):
     assert fired == ["early", "wedge", "late"]
 
 
-def test_run_until_before_any_wheel_event_then_resume_across_wrap(sim_cls):
-    sim = sim_cls()
+def test_run_until_before_any_wheel_event_then_resume_across_wrap():
+    sim = Simulator()
     fired = []
     sim.schedule_at(HORIZON + 10, lambda: fired.append("beyond"))
     sim.run(until=HORIZON // 2)
@@ -277,8 +265,8 @@ def test_run_until_before_any_wheel_event_then_resume_across_wrap(sim_cls):
     assert fired == ["near", "beyond"]
 
 
-def test_max_events_stop_resumes_in_order_across_buckets(sim_cls):
-    sim = sim_cls()
+def test_max_events_stop_resumes_in_order_across_buckets():
+    sim = Simulator()
     fired = []
     for i in range(20):
         sim.schedule_at(1 + i * (SLOT // 2), lambda i=i: fired.append(i))
@@ -293,8 +281,8 @@ def test_max_events_stop_resumes_in_order_across_buckets(sim_cls):
 # ----------------------------------------------------------------------
 
 
-def test_rearm_at_orders_like_a_fresh_schedule(sim_cls):
-    sim = sim_cls()
+def test_rearm_at_orders_like_a_fresh_schedule():
+    sim = Simulator()
     order = []
     entry = [0, 0, None]
 
@@ -310,14 +298,14 @@ def test_rearm_at_orders_like_a_fresh_schedule(sim_cls):
     assert order == ["first", "queued", "rearmed"]
 
 
-def test_event_beyond_the_never_sentinel_still_fires(sim_cls):
+def test_event_beyond_the_never_sentinel_still_fires():
     """Regression: the int "no horizon" sentinel must behave like the
     old float('inf') — an event at an absurdly large time is still live
     when run() has no `until`, not a crash or a lost event."""
     from repro.sim.engine import _NEVER
 
     far = _NEVER + 5
-    sim = sim_cls()
+    sim = Simulator()
     fired = []
     sim.schedule_at(far, lambda: fired.append("wheel-far"))
     sim.at(far + 1, lambda: fired.append("spill-far"))
@@ -326,8 +314,8 @@ def test_event_beyond_the_never_sentinel_still_fires(sim_cls):
     assert sim.now == far + 1
 
 
-def test_rearm_at_past_raises(sim_cls):
-    sim = sim_cls()
+def test_rearm_at_past_raises():
+    sim = Simulator()
     sim.schedule_at(10, lambda: None)
     sim.run()
     with pytest.raises(SimError):
@@ -354,8 +342,8 @@ def _link(sim, rate=gbps(10), prop=0):
     return Link(sim, src, dst, rate, propagation_ns=prop), dst
 
 
-def test_train_delivers_back_to_back_frames_at_exact_times(sim_cls):
-    sim = sim_cls()
+def test_train_delivers_back_to_back_frames_at_exact_times():
+    sim = Simulator()
     link, dst = _link(sim, rate=gbps(10), prop=100)
     for i in range(5):
         link.send(f"f{i}", 1000)  # 800ns each at 10G
@@ -366,10 +354,10 @@ def test_train_delivers_back_to_back_frames_at_exact_times(sim_cls):
     assert [p for _, p in dst.got] == [f"f{i}" for i in range(5)]
 
 
-def test_train_splits_on_mid_train_set_rate(sim_cls):
+def test_train_splits_on_mid_train_set_rate():
     """Frames serialized after a rate change take the new rate; the
     frame in flight finishes at the old rate."""
-    sim = sim_cls()
+    sim = Simulator()
     link, dst = _link(sim, rate=gbps(10))
     for i in range(4):
         link.send(f"f{i}", 1000)
@@ -380,8 +368,8 @@ def test_train_splits_on_mid_train_set_rate(sim_cls):
     assert [t for t, _ in dst.got] == [800, 1600, 3200, 4800]
 
 
-def test_train_splits_on_mid_train_fail(sim_cls):
-    sim = sim_cls()
+def test_train_splits_on_mid_train_fail():
+    sim = Simulator()
     link, dst = _link(sim, rate=gbps(10))
     for i in range(6):
         link.send(f"f{i}", 1000)
@@ -394,10 +382,10 @@ def test_train_splits_on_mid_train_fail(sim_cls):
     assert link.tx_frames == 2  # f0 and f1 left the serializer
 
 
-def test_train_restarts_cleanly_after_restore(sim_cls):
+def test_train_restarts_cleanly_after_restore():
     """A post-restore train lays a fresh entry while the stale pre-fail
     completion is pending, and both frames resolve correctly."""
-    sim = sim_cls()
+    sim = Simulator()
     link, dst = _link(sim, rate=gbps(10))
     link.send("old", 1000)  # completes at 800
     sim.at(100, link.fail)
@@ -412,13 +400,13 @@ def test_train_restarts_cleanly_after_restore(sim_cls):
     assert conserved == 2
 
 
-def test_train_conservation_under_seeded_fault_storm(sim_cls):
+def test_train_conservation_under_seeded_fault_storm():
     """Seeded random sends, fails, restores and rate changes: every
     frame is delivered, dropped, queued or in flight — none vanish,
     none duplicate (the scheduler-churn mirror of the fabric
     conservation tests in test_invariants.py)."""
     rng = random.Random(23)
-    sim = sim_cls()
+    sim = Simulator()
     link, dst = _link(sim, rate=gbps(10), prop=50)
     sent = 0
 

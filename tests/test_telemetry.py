@@ -287,54 +287,6 @@ class TestGoldenNeutrality:
 
 
 # ----------------------------------------------------------------------
-# Engine probes under alternative kernels
-# ----------------------------------------------------------------------
-
-
-class TestKernelTelemetry:
-    """The engine probe hooks are part of the kernel contract: any
-    registered kernel must keep the occupancy counters exact between
-    events, so instrumentation neither degrades nor perturbs a run."""
-
-    def test_engine_probes_sampled_under_batch(self):
-        art = run_spec(
-            quick_spec(telemetry=TELEM, kernel="batch")
-        ).telemetry
-        names = {s["name"] for s in art["series"]}
-        assert {
-            "engine.events_fired", "engine.wheel_occupancy",
-            "engine.spill_occupancy", "engine.corpse_count",
-        } <= names
-        assert art["samples"] > 0
-
-    def test_probe_series_identical_across_kernels(self):
-        # Not just "samples exist": the batch kernel's drained stepping
-        # must leave every engine counter in exactly the state the
-        # reference wheel would show at each probe boundary.
-        wheel = run_spec(quick_spec(telemetry=TELEM)).telemetry
-        batch = run_spec(
-            quick_spec(telemetry=TELEM, kernel="batch")
-        ).telemetry
-        assert artifact_minus_meta(wheel) == artifact_minus_meta(batch)
-
-    def test_instrumented_batch_reproduces_wheel_golden(self):
-        # Telemetry and kernel are both hash-neutral spec fields; an
-        # instrumented batch run must still hit the recorded-wheel
-        # digest byte for byte.
-        spec = min(
-            golden_specs(),
-            key=lambda s: s.warmup_ns + s.measure_ns,
-        )
-        plain, net_plain = run_spec_with_network(spec)
-        inst, net_inst = run_spec_with_network(
-            spec.with_updates(telemetry=TELEM, kernel="batch")
-        )
-        d_plain = json.dumps(run_digest(plain, net_plain), sort_keys=True)
-        d_inst = json.dumps(run_digest(inst, net_inst), sort_keys=True)
-        assert d_plain == d_inst
-
-
-# ----------------------------------------------------------------------
 # Export: Perfetto + JSONL
 # ----------------------------------------------------------------------
 

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.baselines.ethernet import EthConfig
-from repro.baselines.push_fabric import PushFabricNetwork
 from repro.core.config import StardustConfig
-from repro.core.network import OneTierSpec, StardustNetwork
+from repro.fabrics import OneTierSpec, PushFabricNetwork, StardustNetwork
 from repro.net.addressing import PortAddress
 from repro.net.flow import Flow
 from repro.sim.units import KB, MILLISECOND, gbps
